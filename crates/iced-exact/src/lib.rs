@@ -451,23 +451,6 @@ pub fn auto_prefers_exact(node_count: usize) -> bool {
     node_count <= auto_max_nodes()
 }
 
-/// Size-dispatched portfolio entry point: exact (with certificate) for
-/// kernels at or below the [`auto_max_nodes`] threshold, plain heuristic
-/// (no certificate) above it.
-pub fn map_auto(
-    dfg: &Dfg,
-    cfg: &CgraConfig,
-    heur: &MapperOptions,
-    opts: &ExactOptions,
-) -> Result<(Mapping, Option<CertifiedII>), MapError> {
-    if auto_prefers_exact(dfg.node_count()) {
-        let c = certify(dfg, cfg, heur, opts)?;
-        Ok((c.mapping, Some(c.certificate)))
-    } else {
-        Ok((map_with(dfg, cfg, heur)?, None))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

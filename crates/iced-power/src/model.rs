@@ -105,16 +105,6 @@ impl PowerModel {
         let a = activity.clamp(0.0, 1.0);
         self.sram_max_power_mw * (self.sram_static_fraction + (1.0 - self.sram_static_fraction) * a)
     }
-
-    /// Nominal power of one tile at full activity (calibration anchor).
-    pub fn tile_nominal_mw(&self) -> f64 {
-        self.tile_dynamic_nominal_mw + self.tile_static_nominal_mw
-    }
-
-    /// Power of a single DVFS controller.
-    pub fn controller_power_each_mw(&self) -> f64 {
-        self.controller_power_mw
-    }
 }
 
 impl Default for PowerModel {

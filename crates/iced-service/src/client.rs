@@ -302,25 +302,6 @@ impl Client {
             .map(BatchItem::from_raw)
             .collect())
     }
-
-    /// [`request`](Self::request), asserting a success envelope — the
-    /// convenience most test/bench call sites want.
-    ///
-    /// # Errors
-    ///
-    /// As [`request`](Self::request), plus a [`ClientError`] when the
-    /// final response is a structured error.
-    pub fn request_ok(&mut self, line: &str) -> Result<String, ClientError> {
-        let resp = self.request(line)?;
-        if resp.contains("\"ok\":true") {
-            Ok(resp)
-        } else {
-            Err(ClientError {
-                attempts: 1,
-                last: resp,
-            })
-        }
-    }
 }
 
 /// Splices `"verb":…` into a spec object's first position. The spec is

@@ -267,6 +267,18 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
+/// Bumps the hit or the miss counter of a lookup and mirrors it into the
+/// iced-trace service counter of the same slot.
+fn lookup_event(hit: bool, [hits, misses]: [&AtomicU64; 2], [hit_name, miss_name]: [&str; 2]) {
+    let (counter, name) = if hit {
+        (hits, hit_name)
+    } else {
+        (misses, miss_name)
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+    iced::trace::counter(Phase::Service, name, 1);
+}
+
 /// All service metrics. One instance per server, shared by every worker.
 #[derive(Debug)]
 pub struct Metrics {
@@ -276,6 +288,14 @@ pub struct Metrics {
     pub cache_misses: AtomicU64,
     /// Entries evicted to respect the byte budget.
     pub cache_evictions: AtomicU64,
+    /// Base-mapping memo lookups served without running the mapper.
+    pub mapping_memo_hits: AtomicU64,
+    /// Base-mapping memo lookups that ran the mapper.
+    pub mapping_memo_misses: AtomicU64,
+    /// `stream` partition lookups served from the per-pipeline memo.
+    pub partition_memo_hits: AtomicU64,
+    /// `stream` partition lookups that ran `Partition::table1`.
+    pub partition_memo_misses: AtomicU64,
     /// Requests rejected with `queue_full`.
     pub rejected: AtomicU64,
     /// Requests that returned a structured error.
@@ -327,6 +347,10 @@ impl Metrics {
             cache_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             cache_evictions: AtomicU64::new(0),
+            mapping_memo_hits: AtomicU64::new(0),
+            mapping_memo_misses: AtomicU64::new(0),
+            partition_memo_hits: AtomicU64::new(0),
+            partition_memo_misses: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
             errors: AtomicU64::new(0),
             connections: AtomicU64::new(0),
@@ -391,13 +415,29 @@ impl Metrics {
 
     /// Records a cache hit or miss, mirroring into iced-trace.
     pub fn cache_event(&self, hit: bool) {
-        if hit {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            iced::trace::counter(Phase::Service, "svc_cache_hits", 1);
-        } else {
-            self.cache_misses.fetch_add(1, Ordering::Relaxed);
-            iced::trace::counter(Phase::Service, "svc_cache_misses", 1);
-        }
+        lookup_event(
+            hit,
+            [&self.cache_hits, &self.cache_misses],
+            ["svc_cache_hits", "svc_cache_misses"],
+        );
+    }
+
+    /// Records a base-mapping memo lookup, mirroring into iced-trace.
+    pub fn mapping_memo_event(&self, hit: bool) {
+        lookup_event(
+            hit,
+            [&self.mapping_memo_hits, &self.mapping_memo_misses],
+            ["svc_mapping_memo_hits", "svc_mapping_memo_misses"],
+        );
+    }
+
+    /// Records a `stream` partition memo lookup, mirroring into iced-trace.
+    pub fn partition_memo_event(&self, hit: bool) {
+        lookup_event(
+            hit,
+            [&self.partition_memo_hits, &self.partition_memo_misses],
+            ["svc_partition_memo_hits", "svc_partition_memo_misses"],
+        );
     }
 
     /// Records `n` evictions.
@@ -508,6 +548,22 @@ impl Metrics {
             )
             .u64("cache_bytes", cache_bytes)
             .u64("cache_entries", cache_entries as u64)
+            .u64(
+                "mapping_memo_hits",
+                self.mapping_memo_hits.load(Ordering::Relaxed),
+            )
+            .u64(
+                "mapping_memo_misses",
+                self.mapping_memo_misses.load(Ordering::Relaxed),
+            )
+            .u64(
+                "partition_memo_hits",
+                self.partition_memo_hits.load(Ordering::Relaxed),
+            )
+            .u64(
+                "partition_memo_misses",
+                self.partition_memo_misses.load(Ordering::Relaxed),
+            )
             .u64("queue_depth", queue_depth as u64)
             .u64("queue_peak", self.queue_peak.load(Ordering::Relaxed))
             .u64("rejected", self.rejected.load(Ordering::Relaxed))
@@ -571,6 +627,24 @@ impl Metrics {
                     .saturating_sub(self.batch_unique.load(Ordering::Relaxed)),
             )
             .finish();
+        let memo = Obj::new()
+            .u64(
+                "mapping_hits",
+                self.mapping_memo_hits.load(Ordering::Relaxed),
+            )
+            .u64(
+                "mapping_misses",
+                self.mapping_memo_misses.load(Ordering::Relaxed),
+            )
+            .u64(
+                "partition_hits",
+                self.partition_memo_hits.load(Ordering::Relaxed),
+            )
+            .u64(
+                "partition_misses",
+                self.partition_memo_misses.load(Ordering::Relaxed),
+            )
+            .finish();
         Obj::new()
             .str("role", "shard")
             .u64("uptime_s", self.uptime().as_secs())
@@ -580,6 +654,7 @@ impl Metrics {
             .raw("window", &win.finish())
             .raw("connections", &conns)
             .raw("batch", &batch)
+            .raw("memo", &memo)
             .finish()
     }
 
@@ -663,7 +738,7 @@ impl Metrics {
                 self.in_flight_count(v)
             ));
         }
-        let counters: [(&str, &str, u64); 11] = [
+        let counters: [(&str, &str, u64); 15] = [
             (
                 "iced_svc_cache_hits_total",
                 "Cache hits.",
@@ -678,6 +753,26 @@ impl Metrics {
                 "iced_svc_cache_evictions_total",
                 "Cache evictions.",
                 self.cache_evictions.load(Ordering::Relaxed),
+            ),
+            (
+                "iced_svc_mapping_memo_hits_total",
+                "Base-mapping memo hits (mapper runs saved).",
+                self.mapping_memo_hits.load(Ordering::Relaxed),
+            ),
+            (
+                "iced_svc_mapping_memo_misses_total",
+                "Base-mapping memo misses (mapper runs).",
+                self.mapping_memo_misses.load(Ordering::Relaxed),
+            ),
+            (
+                "iced_svc_partition_memo_hits_total",
+                "Stream partition memo hits.",
+                self.partition_memo_hits.load(Ordering::Relaxed),
+            ),
+            (
+                "iced_svc_partition_memo_misses_total",
+                "Stream partition memo misses (Partition::table1 runs).",
+                self.partition_memo_misses.load(Ordering::Relaxed),
             ),
             (
                 "iced_svc_rejected_total",
@@ -971,6 +1066,10 @@ mod tests {
         m.conn_rejected();
         m.pipeline_rejected_request();
         m.batch_observed(10, 3);
+        m.mapping_memo_event(false);
+        m.mapping_memo_event(true);
+        m.mapping_memo_event(true);
+        m.partition_memo_event(false);
         assert_eq!(m.conns_open.load(Ordering::Relaxed), 1);
         assert_eq!(m.conns_peak.load(Ordering::Relaxed), 2);
 
@@ -984,6 +1083,10 @@ mod tests {
             "\"pipeline_rejected\":1",
             "\"batch_slots\":10",
             "\"batch_unique\":3",
+            "\"mapping_memo_hits\":2",
+            "\"mapping_memo_misses\":1",
+            "\"partition_memo_hits\":0",
+            "\"partition_memo_misses\":1",
         ] {
             assert!(s.contains(field), "missing {field} in {s}");
         }
@@ -1001,6 +1104,13 @@ mod tests {
             s.contains("\"batch\":{\"slots\":10,\"unique\":3,\"deduped\":7}"),
             "{s}"
         );
+        assert!(
+            s.contains(
+                "\"memo\":{\"mapping_hits\":2,\"mapping_misses\":1,\
+                 \"partition_hits\":0,\"partition_misses\":1}"
+            ),
+            "{s}"
+        );
 
         let text = m.render_prometheus(0, 0, 0, 0);
         for family in [
@@ -1010,6 +1120,10 @@ mod tests {
             "iced_svc_pipeline_rejected_total 1",
             "iced_svc_batch_slots_total 10",
             "iced_svc_batch_unique_total 3",
+            "iced_svc_mapping_memo_hits_total 2",
+            "iced_svc_mapping_memo_misses_total 1",
+            "iced_svc_partition_memo_hits_total 0",
+            "iced_svc_partition_memo_misses_total 1",
             "iced_svc_max_conns 4096",
             "iced_svc_pipeline_cap 32",
             "iced_svc_queue_wait_us{verb=\"batch\",quantile=\"0.5\"}",

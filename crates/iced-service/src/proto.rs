@@ -113,6 +113,26 @@ impl std::fmt::Display for RequestId {
     }
 }
 
+/// Every error code a shard or router emits, so a relayed error line can
+/// be mapped back onto its static code.
+pub(crate) const ERROR_CODES: [&str; 15] = [
+    "bad_json",
+    "bad_request",
+    "deadline_exceeded",
+    "dfg_parse_error",
+    "internal",
+    "map_error",
+    "no_shards",
+    "queue_full",
+    "shutting_down",
+    "sim_error",
+    "too_large",
+    "too_many_connections",
+    "too_many_requests",
+    "unknown_kernel",
+    "unknown_verb",
+];
+
 /// A structured service error: machine-readable code, human-readable
 /// message, and (where meaningful) the entity that caused it.
 #[derive(Debug, Clone, PartialEq, Eq)]

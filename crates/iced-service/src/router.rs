@@ -25,9 +25,10 @@
 //!   Identical keys route to the same shard, so envelope `unique` is the
 //!   sum of per-shard uniques.
 //! * **Hot-entry replication.** A key observed hot (≥K hits inside a
-//!   sliding window) has its rendered result replicated to the key's
-//!   rendezvous successor via the internal `cache_put` verb, so the ~160×
-//!   warm-hit advantage survives the owner's death.
+//!   sliding window) has its rendered result, once the owner answers it
+//!   from its cache, replicated to the key's rendezvous successor via the
+//!   internal `cache_put` verb, so the ~160× warm-hit advantage survives
+//!   the owner's death.
 //! * **Failover.** A connect/read/write failure marks the shard down;
 //!   its in-flight forwards replay to the surviving rendezvous owner
 //!   (safe: results are content-addressed, requests idempotent), and
@@ -51,7 +52,7 @@ use crate::json::Obj;
 use crate::poll::{drain_wakes, poll, wake_pair, PollFd, Waker, POLLIN, POLLOUT};
 use crate::proto::{
     parse_request, render_batch_item_err, render_batch_result, render_err, render_ok, BatchSlot,
-    Payload, Request, RequestId, SvcError, Verb, MAX_LINE_BYTES,
+    Payload, Request, RequestId, SvcError, Verb, ERROR_CODES, MAX_LINE_BYTES,
 };
 use crate::server::{elem_key, request_key};
 
@@ -1371,6 +1372,13 @@ fn note_hot_hit(st: &mut Loop, shutting: bool, owner_idx: usize, key: CacheKey, 
     if entry.hits < st.replicate_hot || entry.replicated_to.is_some() {
         return;
     }
+    // Replicate only what the owner itself cached: a shard does not cache
+    // an answer a request without a deadline would not get (a
+    // deadline-truncated exact certificate), so neither may its successor.
+    let header = line.find("\"result\"").map_or(line, |i| &line[..i]);
+    if !header.contains("\"cached\":true") {
+        return;
+    }
     let Some(result) = extract_result_object(line) else {
         return;
     };
@@ -1541,24 +1549,22 @@ fn extract_result_object(line: &str) -> Option<String> {
     }
 }
 
-/// Recovers a structured error from a shard's error envelope (best
-/// effort: unknown shapes degrade to `internal`).
+/// Recovers a shard's structured error from its error envelope: a known
+/// code, the decoded message and the entity pass through unchanged. A
+/// line that is not such an envelope degrades to `internal`.
 fn extract_error(line: &str) -> SvcError {
-    let code: &'static str = if line.contains("\"code\":\"queue_full\"") {
-        "queue_full"
-    } else if line.contains("\"code\":\"shutting_down\"") {
-        "shutting_down"
-    } else {
-        "internal"
-    };
-    let message = line
-        .find("\"message\":\"")
-        .and_then(|i| {
-            let s = i + "\"message\":\"".len();
-            line[s..].find('"').map(|e| line[s..s + e].to_string())
-        })
-        .unwrap_or_else(|| "shard error".to_string());
-    SvcError::new(code, message)
+    let parsed = crate::json::parse(line).ok();
+    let err = parsed.as_ref().and_then(|v| v.get("error"));
+    let field = |k: &str| err.and_then(|e| e.get(k)).and_then(|v| v.as_str());
+    let code = field("code")
+        .and_then(|c| ERROR_CODES.iter().find(|&&known| known == c))
+        .copied()
+        .unwrap_or("internal");
+    SvcError {
+        code,
+        message: field("message").unwrap_or("shard error").to_string(),
+        entity: field("entity").map(str::to_string),
+    }
 }
 
 /// Reads the integer after `marker` (e.g. `"unique":`), stopping at the
@@ -1855,6 +1861,22 @@ mod tests {
         assert_eq!(e.code, "shutting_down");
         let e = extract_error("garbage");
         assert_eq!(e.code, "internal");
+        // A non-transient code passes through, so the client does not
+        // retry it as `internal`; escaped quotes in the message decode.
+        let e = extract_error(
+            r#"{"id":1,"ok":false,"verb":"batch","error":{"code":"map_error","message":"no \"fir\" mapping","entity":"fir"}}"#,
+        );
+        assert_eq!(e.code, "map_error");
+        assert_eq!(e.message, r#"no "fir" mapping"#);
+        assert_eq!(e.entity.as_deref(), Some("fir"));
+        let e = extract_error(
+            r#"{"id":1,"ok":false,"error":{"code":"deadline_exceeded","message":"late"}}"#,
+        );
+        assert_eq!(e.code, "deadline_exceeded");
+        // An unknown code is not invented; it degrades to `internal`.
+        let e = extract_error(r#"{"id":1,"ok":false,"error":{"code":"novel","message":"m"}}"#);
+        assert_eq!(e.code, "internal");
+        assert_eq!(e.message, "m");
     }
 
     #[test]

@@ -26,6 +26,18 @@
 //! rendered bytes fan out to every slot (and into the cache). A bad slot
 //! is answered in place with a structured error; its siblings still run.
 //!
+//! ## Memoized mapping
+//!
+//! Beneath the response cache sit two per-daemon memos. The
+//! [`MappingMemo`] holds the mapping a compile's strategy post-pass
+//! starts from, so the four strategies and `simulate` of one kernel run
+//! the mapper once per distinct mapper-option set (baseline and
+//! DVFS-aware) instead of once per response. The partition memo holds
+//! each pipeline's `Partition::table1`, shared by its three `stream`
+//! policies. Response bytes do not change: both memos hold deterministic
+//! mapper output, and the post-pass, engine run and rendering still run
+//! per response.
+//!
 //! ## Shutdown
 //!
 //! `shutdown` (or [`Server::shutdown`]) flips a flag, closes the queue,
@@ -36,6 +48,7 @@
 //! only then are client sockets closed. A request the server accepted is
 //! therefore always answered.
 
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -45,9 +58,13 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use iced::arch::CgraConfig;
+use iced::dfg::Dfg;
+use iced::exact::CertifiedII;
 use iced::kernels::pipelines::Pipeline;
 use iced::kernels::workloads;
-use iced::mapper::{map_with, power_gate_idle, relax_islands, relax_per_tile, Bitstream, MapError};
+use iced::mapper::{
+    map_with, power_gate_idle, relax_islands, relax_per_tile, Bitstream, MapError, Mapping,
+};
 use iced::power::PowerModel;
 use iced::sim::{run_engine, EnergyBreakdown, FabricStats};
 use iced::streaming::{simulate, Partition};
@@ -221,6 +238,11 @@ pub(crate) struct Shared {
     pub(crate) config: CgraConfig,
     pub(crate) model: PowerModel,
     pub(crate) cache: ResultCache,
+    /// Base mappings beneath `cache`, shared across strategies and verbs.
+    pub(crate) mappings: MappingMemo,
+    /// `Partition::table1` per pipeline name. Unknown names are rejected
+    /// before the lookup, so the pipeline set bounds it.
+    pub(crate) partitions: Mutex<HashMap<&'static str, Arc<Partition>>>,
     pub(crate) queue: BoundedQueue<Job>,
     pub(crate) metrics: Metrics,
     pub(crate) chaos: Option<ChaosInjector>,
@@ -291,6 +313,8 @@ impl Server {
                     .unwrap_or_else(|| cfg.cache_mb.saturating_mul(1 << 20)),
                 cfg.cache_dir,
             ),
+            mappings: MappingMemo::default(),
+            partitions: Mutex::new(HashMap::new()),
             queue: BoundedQueue::new(cfg.queue_cap),
             metrics: Metrics::new(),
             chaos: cfg.chaos.map(ChaosInjector::new),
@@ -547,22 +571,17 @@ fn execute(
     req: &Request,
     rid: RequestId,
 ) -> Result<(Arc<String>, bool), SvcError> {
-    let key = cache_key(shared, req);
-    if let Some(hit) = shared.cache.get(key) {
-        return Ok((hit, true));
-    }
-    let rendered = match &req.payload {
-        Payload::Compile(spec) => compile_result(shared, spec)?,
-        Payload::Simulate(spec) => simulate_result(shared, spec)?,
-        Payload::Stream(spec) => stream_result(shared, spec)?,
+    through_cache(shared, cache_key(shared, req), rid, || match &req.payload {
+        Payload::Compile(spec) => compile_result(shared, spec),
+        Payload::Simulate(spec) => simulate_result(shared, spec),
+        Payload::Stream(spec) => Ok((stream_result(shared, spec)?, true)),
         Payload::Stats { .. } | Payload::Control | Payload::Batch(_) | Payload::CachePut { .. } => {
-            return Err(SvcError::new(
+            Err(SvcError::new(
                 "internal",
                 "control verb reached the worker pool",
             ))
         }
-    };
-    Ok((insert_rendered(shared, key, rendered, rid), false))
+    })
 }
 
 /// Runs one batch: computes each unique element once (through the cache)
@@ -620,13 +639,28 @@ fn execute_elem(
     elem: &BatchElem,
     rid: RequestId,
 ) -> Result<(Arc<String>, bool), SvcError> {
+    through_cache(shared, key, rid, || match elem {
+        BatchElem::Compile(spec) => compile_result(shared, spec),
+        BatchElem::Simulate(spec) => simulate_result(shared, spec),
+    })
+}
+
+/// Serves `key` from the cache, or renders it with `compute` and caches
+/// the bytes unless `compute` reports them unsettled (see
+/// [`Mapped::settled`]). Returns the bytes plus whether they were a hit.
+fn through_cache(
+    shared: &Shared,
+    key: CacheKey,
+    rid: RequestId,
+    compute: impl FnOnce() -> Result<(String, bool), SvcError>,
+) -> Result<(Arc<String>, bool), SvcError> {
     if let Some(hit) = shared.cache.get(key) {
         return Ok((hit, true));
     }
-    let rendered = match elem {
-        BatchElem::Compile(spec) => compile_result(shared, spec)?,
-        BatchElem::Simulate(spec) => simulate_result(shared, spec)?,
-    };
+    let (rendered, settled) = compute()?;
+    if !settled {
+        return Ok((Arc::new(rendered), false));
+    }
     Ok((insert_rendered(shared, key, rendered, rid), false))
 }
 
@@ -761,44 +795,172 @@ fn map_err_to_svc(e: MapError, entity: &str) -> SvcError {
     }
 }
 
-/// Maps per the requested strategy (the `Toolchain::compile` recipe, but
-/// with per-request deadline/II options threaded through). For the exact
-/// backend the mapping comes with its minimum-II certificate.
-fn compile_mapping(
-    shared: &Shared,
-    spec: &CompileSpec,
-) -> Result<
-    (
-        iced::dfg::Dfg,
-        iced::mapper::Mapping,
-        Option<iced::exact::CertifiedII>,
-    ),
-    SvcError,
-> {
-    let dfg = spec.source.dfg();
-    let mut opts = spec.mapper_options();
-    if let Some(ms) = spec.deadline_ms {
-        opts.deadline = Some(Instant::now() + Duration::from_millis(ms));
-    }
-    if spec.backend == Backend::Exact {
-        let mut xopts = spec.exact_options();
-        xopts.deadline = opts.deadline;
-        let c = iced::exact::certify(&dfg, &shared.config, &opts, &xopts)
-            .map_err(|e| map_err_to_svc(e, dfg.name()))?;
-        return Ok((dfg, c.mapping, Some(c.certificate)));
-    }
-    let base = map_with(&dfg, &shared.config, &opts).map_err(|e| map_err_to_svc(e, dfg.name()))?;
-    let mapping = match spec.strategy {
-        Strategy::Baseline => base,
-        Strategy::BaselinePowerGated => power_gate_idle(&dfg, &base),
-        Strategy::PerTileDvfs => relax_per_tile(&dfg, &base),
-        Strategy::IcedIslands => relax_islands(&dfg, &base),
-    };
-    Ok((dfg, mapping, None))
+/// The key of the mapping a compile's strategy post-pass starts from:
+/// every input of `map_with` / `certify` and nothing else. The strategy
+/// enters only through the mapper options it selects, so `baseline`,
+/// `baseline+pg` and `per-tile` share one entry and `iced` another, and
+/// `simulate` shares its compile's entry.
+fn mapping_key(cfg: u64, spec: &CompileSpec) -> CacheKey {
+    let [backend, exact_opts] = backend_lanes(spec);
+    CacheKey::derive(&[
+        hash_str("mapping"),
+        spec.source.canonical_hash(),
+        cfg,
+        spec.mapper_options().canonical_hash(),
+        backend,
+        exact_opts,
+    ])
 }
 
-fn compile_result(shared: &Shared, spec: &CompileSpec) -> Result<String, SvcError> {
-    let (dfg, mapping, cert) = compile_mapping(shared, spec)?;
+/// Entries the [`MappingMemo`] holds before it evicts the least recently
+/// used one. Every suite kernel × unroll × option set (84 entries) fits
+/// with room for inline kernels; a mapping is a few KiB.
+const MAPPING_MEMO_ENTRIES: usize = 128;
+
+/// A memoized base mapping: the mapper's output before any strategy
+/// post-pass, with the certificate when the exact backend produced it.
+#[derive(Clone)]
+struct BaseMapping {
+    mapping: Arc<Mapping>,
+    cert: Option<CertifiedII>,
+}
+
+/// A content-addressed memo of [`BaseMapping`]s keyed by
+/// [`mapping_key`], bounded at [`MAPPING_MEMO_ENTRIES`] with LRU
+/// eviction. It allocates on first insert.
+#[derive(Default)]
+pub(crate) struct MappingMemo {
+    inner: Mutex<MemoInner>,
+}
+
+#[derive(Default)]
+struct MemoInner {
+    /// Each entry with the clock value of its last use.
+    entries: HashMap<CacheKey, (BaseMapping, u64)>,
+    clock: u64,
+}
+
+impl MappingMemo {
+    fn get(&self, key: CacheKey) -> Option<BaseMapping> {
+        let mut inner = lock(&self.inner);
+        inner.clock += 1;
+        let now = inner.clock;
+        inner.entries.get_mut(&key).map(|(base, used)| {
+            *used = now;
+            base.clone()
+        })
+    }
+
+    fn put(&self, key: CacheKey, base: BaseMapping) {
+        let mut inner = lock(&self.inner);
+        if inner.entries.len() >= MAPPING_MEMO_ENTRIES && !inner.entries.contains_key(&key) {
+            let oldest = inner
+                .entries
+                .iter()
+                .min_by_key(|(_, (_, used))| *used)
+                .map(|(k, _)| *k);
+            if let Some(k) = oldest {
+                inner.entries.remove(&k);
+            }
+        }
+        inner.clock += 1;
+        let now = inner.clock;
+        inner.entries.insert(key, (base, now));
+    }
+}
+
+/// A compile spec's mapping after its strategy's post-pass.
+struct Mapped {
+    dfg: Dfg,
+    mapping: Arc<Mapping>,
+    cert: Option<CertifiedII>,
+    /// False when the request's deadline cut an exact search short. The
+    /// certificate (and, if the heuristic arm was cut, the mapping) may
+    /// then differ from what a request without a deadline gets, so
+    /// neither the memo nor the response cache keeps it.
+    settled: bool,
+}
+
+/// The base mapping for `spec`: from the memo, or from `map_with` /
+/// `certify` under the request's deadline. Returns it with its
+/// [`Mapped::settled`] flag; only settled mappings are memoized, and a
+/// mapper error (`deadline_exceeded` included) never is.
+fn base_mapping(
+    shared: &Shared,
+    spec: &CompileSpec,
+    dfg: &Dfg,
+) -> Result<(BaseMapping, bool), SvcError> {
+    let key = mapping_key(shared.config.canonical_hash(), spec);
+    let hit = shared.mappings.get(key);
+    shared.metrics.mapping_memo_event(hit.is_some());
+    if let Some(base) = hit {
+        return Ok((base, true));
+    }
+    let mut opts = spec.mapper_options();
+    opts.deadline = spec
+        .deadline_ms
+        .map(|ms| Instant::now() + Duration::from_millis(ms));
+    let base = if spec.backend == Backend::Exact {
+        let mut xopts = spec.exact_options();
+        xopts.deadline = opts.deadline;
+        let c = iced::exact::certify(dfg, &shared.config, &opts, &xopts)
+            .map_err(|e| map_err_to_svc(e, dfg.name()))?;
+        BaseMapping {
+            mapping: Arc::new(c.mapping),
+            cert: Some(c.certificate),
+        }
+    } else {
+        let m = map_with(dfg, &shared.config, &opts).map_err(|e| map_err_to_svc(e, dfg.name()))?;
+        BaseMapping {
+            mapping: Arc::new(m),
+            cert: None,
+        }
+    };
+    // The heuristic mapper is complete-or-absent under a deadline (§10 of
+    // DESIGN.md); the exact search instead returns its best so far. Its
+    // deadline checks all ran before it returned, so if the deadline is
+    // still ahead now, none of them fired.
+    let settled =
+        spec.backend == Backend::Heuristic || opts.deadline.is_none_or(|d| Instant::now() < d);
+    if settled {
+        shared.mappings.put(key, base.clone());
+    }
+    Ok((base, settled))
+}
+
+/// Maps per the requested strategy (the `Toolchain::compile` recipe, but
+/// with per-request deadline/II options threaded through): the memoized
+/// base mapping plus the strategy's post-pass. For the exact backend the
+/// mapping comes unchanged, with its minimum-II certificate.
+fn compile_mapping(shared: &Shared, spec: &CompileSpec) -> Result<Mapped, SvcError> {
+    let dfg = spec.source.dfg();
+    let (base, settled) = base_mapping(shared, spec, &dfg)?;
+    let mapping = match (spec.backend, spec.strategy) {
+        (Backend::Exact, _) | (Backend::Heuristic, Strategy::Baseline) => base.mapping,
+        (Backend::Heuristic, Strategy::BaselinePowerGated) => {
+            Arc::new(power_gate_idle(&dfg, &base.mapping))
+        }
+        (Backend::Heuristic, Strategy::PerTileDvfs) => {
+            Arc::new(relax_per_tile(&dfg, &base.mapping))
+        }
+        (Backend::Heuristic, Strategy::IcedIslands) => Arc::new(relax_islands(&dfg, &base.mapping)),
+    };
+    Ok(Mapped {
+        dfg,
+        mapping,
+        cert: base.cert,
+        settled,
+    })
+}
+
+/// Renders a `compile` result, with whether the bytes are settled.
+fn compile_result(shared: &Shared, spec: &CompileSpec) -> Result<(String, bool), SvcError> {
+    let Mapped {
+        dfg,
+        mapping,
+        cert,
+        settled,
+    } = compile_mapping(shared, spec)?;
     let stats = FabricStats::analyze(&mapping);
     let energy = EnergyBreakdown::account(
         &dfg,
@@ -824,20 +986,28 @@ fn compile_result(shared: &Shared, spec: &CompileSpec) -> Result<String, SvcErro
             .u64("lower_bound", u64::from(c.lower_bound))
             .u64("nodes_explored", c.nodes_explored);
     }
-    Ok(o.f64("avg_dvfs_level", stats.average_dvfs_level())
+    let rendered = o
+        .f64("avg_dvfs_level", stats.average_dvfs_level())
         .f64("avg_utilization", stats.average_utilization())
         .f64("power_mw", energy.total_power_mw())
         .u64("bitstream_words", bits.words().len() as u64)
         .u64("bitstream_bytes", bits.total_bytes() as u64)
         .str("dfg_hash", &format!("{:016x}", dfg.canonical_hash()))
-        .finish())
+        .finish();
+    Ok((rendered, settled))
 }
 
-fn simulate_result(shared: &Shared, spec: &SimulateSpec) -> Result<String, SvcError> {
-    let (dfg, mapping, _cert) = compile_mapping(shared, &spec.compile)?;
+/// Renders a `simulate` result, with whether the bytes are settled.
+fn simulate_result(shared: &Shared, spec: &SimulateSpec) -> Result<(String, bool), SvcError> {
+    let Mapped {
+        dfg,
+        mapping,
+        settled,
+        ..
+    } = compile_mapping(shared, &spec.compile)?;
     let report = run_engine(&dfg, &mapping, spec.iterations, spec.seed)
         .map_err(|e| SvcError::with_entity("sim_error", e.to_string(), dfg.name()))?;
-    Ok(crate::json::Obj::new()
+    let rendered = crate::json::Obj::new()
         .str("kernel", dfg.name())
         .str("strategy", spec.compile.strategy_name())
         .u64("ii", u64::from(mapping.ii()))
@@ -846,15 +1016,30 @@ fn simulate_result(shared: &Shared, spec: &SimulateSpec) -> Result<String, SvcEr
         .u64("ops_executed", report.ops_executed)
         .f64("fu_activity", report.fu_activity())
         .u64("fifo_peak", report.fifo_peak as u64)
-        .finish())
+        .finish();
+    Ok((rendered, settled))
+}
+
+/// `Partition::table1` for `pipeline`, built once per daemon.
+fn table1_partition(shared: &Shared, pipeline: &Pipeline) -> Result<Arc<Partition>, SvcError> {
+    let hit = lock(&shared.partitions).get(pipeline.name).cloned();
+    shared.metrics.partition_memo_event(hit.is_some());
+    if let Some(partition) = hit {
+        return Ok(partition);
+    }
+    let partition = Arc::new(
+        Partition::table1(pipeline, &shared.config)
+            .map_err(|e| map_err_to_svc(e, pipeline.name))?,
+    );
+    lock(&shared.partitions).insert(pipeline.name, Arc::clone(&partition));
+    Ok(partition)
 }
 
 fn stream_result(shared: &Shared, spec: &StreamSpec) -> Result<String, SvcError> {
     let pipeline = Pipeline::by_name(spec.pipeline.as_str()).ok_or_else(|| {
         SvcError::with_entity("bad_request", "unknown pipeline", spec.pipeline.clone())
     })?;
-    let partition = Partition::table1(&pipeline, &shared.config)
-        .map_err(|e| map_err_to_svc(e, &spec.pipeline))?;
+    let partition = table1_partition(shared, &pipeline)?;
     // Graph-shaped workloads drive gcn and the generated sensor app;
     // matrix-shaped ones drive lu and stencil.
     let inputs: Vec<u64> = if matches!(spec.pipeline.as_str(), "gcn" | "sensor") {
@@ -892,6 +1077,8 @@ pub(crate) fn test_shared() -> Arc<Shared> {
         config: cfg.cgra,
         model: PowerModel::asap7(),
         cache: ResultCache::new(cfg.cache_mb << 20, None),
+        mappings: MappingMemo::default(),
+        partitions: Mutex::new(HashMap::new()),
         queue: BoundedQueue::new(cfg.queue_cap),
         metrics: Metrics::new(),
         chaos: None,
@@ -985,5 +1172,60 @@ mod tests {
             ..exact.clone()
         };
         assert_ne!(compile_key(cfg, &exact), compile_key(cfg, &tighter));
+    }
+
+    #[test]
+    fn mapping_keys_follow_the_mapper_inputs_not_the_strategy() {
+        let cfg = CgraConfig::iced_prototype().canonical_hash();
+        let spec = |strategy, backend| CompileSpec {
+            source: Source::Named(Kernel::Fft, UnrollFactor::X1),
+            strategy,
+            backend,
+            max_ii: None,
+            deadline_ms: None,
+        };
+        let baseline = mapping_key(cfg, &spec(Strategy::Baseline, Backend::Heuristic));
+        let iced = mapping_key(cfg, &spec(Strategy::IcedIslands, Backend::Heuristic));
+        assert_ne!(baseline, iced, "the two option sets map differently");
+        for strategy in [Strategy::BaselinePowerGated, Strategy::PerTileDvfs] {
+            assert_eq!(
+                mapping_key(cfg, &spec(strategy, Backend::Heuristic)),
+                baseline
+            );
+        }
+        let exact = mapping_key(cfg, &spec(Strategy::Baseline, Backend::Exact));
+        assert!(exact != baseline && exact != iced);
+        let hurried = CompileSpec {
+            deadline_ms: Some(5),
+            ..spec(Strategy::Baseline, Backend::Heuristic)
+        };
+        assert_eq!(mapping_key(cfg, &hurried), baseline);
+        let capped = CompileSpec {
+            max_ii: Some(8),
+            ..spec(Strategy::Baseline, Backend::Heuristic)
+        };
+        assert_ne!(mapping_key(cfg, &capped), baseline);
+    }
+
+    #[test]
+    fn mapping_memo_evicts_the_least_recently_used_entry() {
+        let dfg = Kernel::Fir.dfg(UnrollFactor::X1);
+        let base = BaseMapping {
+            mapping: Arc::new(
+                map_with(&dfg, &CgraConfig::iced_prototype(), &Default::default()).unwrap(),
+            ),
+            cert: None,
+        };
+        let memo = MappingMemo::default();
+        let key = |i: u64| CacheKey(i, !i);
+        for i in 0..MAPPING_MEMO_ENTRIES as u64 {
+            memo.put(key(i), base.clone());
+        }
+        assert!(memo.get(key(0)).is_some(), "a use refreshes entry 0");
+        memo.put(key(1000), base.clone());
+        assert!(memo.get(key(0)).is_some());
+        assert!(memo.get(key(1)).is_none(), "entry 1 was the oldest");
+        assert!(memo.get(key(1000)).is_some());
+        assert_eq!(lock(&memo.inner).entries.len(), MAPPING_MEMO_ENTRIES);
     }
 }

@@ -293,6 +293,40 @@ fn replicated_hot_entry_survives_home_shard_death() {
     }
 }
 
+/// A deadline-truncated exact answer is not cached by its shard, so the
+/// router must not replicate it into the successor's cache either, however
+/// often it is answered. fft's full exact search runs for minutes, so an
+/// `ok` answer within a deadline of at most a minute is a truncated one.
+#[test]
+fn a_deadline_truncated_answer_is_never_replicated() {
+    let (shards, addrs) = start_shards(2);
+    let router = start_router(addrs, 1);
+    let mut c = Client::connect(router.local_addr());
+    let mut deadline_ms = 25;
+    let mut answered = 0;
+    while answered < 3 {
+        let resp = c.round_trip(&format!(
+            r#"{{"id":1,"verb":"compile","kernel":"fft","strategy":"exact","deadline_ms":{deadline_ms}}}"#
+        ));
+        if resp.contains("\"ok\":true") {
+            assert!(resp.contains("\"cached\":false"), "{resp}");
+            answered += 1;
+        } else {
+            assert!(resp.contains("\"deadline_exceeded\""), "{resp}");
+            assert!(deadline_ms < 60_000, "no answer within a minute: {resp}");
+            deadline_ms *= 2;
+        }
+    }
+    let stats = c.round_trip(r#"{"id":90,"verb":"metrics"}"#);
+    assert!(stats.contains("\"replicated\":0"), "{stats}");
+
+    router.shutdown();
+    router.wait();
+    for s in shards {
+        s.wait();
+    }
+}
+
 /// The router's own control plane: healthz and stats report the router
 /// role, shard inventory, and Prometheus families.
 #[test]

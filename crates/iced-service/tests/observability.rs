@@ -207,3 +207,64 @@ fn stats_and_prometheus_expositions_work_over_the_wire() {
     server.shutdown();
     server.wait();
 }
+
+#[test]
+fn memo_counters_show_one_mapper_run_per_option_set() {
+    let (server, addr) = start(ServiceConfig {
+        threads: 1,
+        queue_cap: 8,
+        ..ServiceConfig::default()
+    });
+    let mut c = Raw::connect(addr);
+    // Four strategies plus simulate of one kernel: two base mappings
+    // (baseline options, DVFS-aware options), three memo hits.
+    for (i, strategy) in ["baseline", "baseline+pg", "per-tile", "iced"]
+        .iter()
+        .enumerate()
+    {
+        let r = c.round_trip(&format!(
+            r#"{{"id":{i},"verb":"compile","kernel":"fir","strategy":"{strategy}"}}"#
+        ));
+        assert!(r.contains("\"cached\":false"), "{r}");
+    }
+    let sim = c.round_trip(r#"{"id":5,"verb":"simulate","kernel":"fir","iterations":100}"#);
+    assert!(sim.contains("\"cached\":false"), "{sim}");
+    // Three policies of one pipeline: one Partition::table1.
+    for (i, policy) in ["iced", "drips", "static"].iter().enumerate() {
+        let r = c.round_trip(&format!(
+            r#"{{"id":{},"verb":"stream","pipeline":"lu","policy":"{policy}","inputs":4}}"#,
+            10 + i
+        ));
+        assert!(r.contains("\"cached\":false"), "{r}");
+    }
+
+    let metrics = c.round_trip(r#"{"id":20,"verb":"metrics"}"#);
+    for field in [
+        "\"mapping_memo_hits\":3",
+        "\"mapping_memo_misses\":2",
+        "\"partition_memo_hits\":2",
+        "\"partition_memo_misses\":1",
+    ] {
+        assert!(metrics.contains(field), "missing {field}: {metrics}");
+    }
+    let stats = c.round_trip(r#"{"id":21,"verb":"stats"}"#);
+    assert!(
+        stats.contains(
+            "\"memo\":{\"mapping_hits\":3,\"mapping_misses\":2,\
+             \"partition_hits\":2,\"partition_misses\":1}"
+        ),
+        "{stats}"
+    );
+    let prom = c.round_trip(r#"{"id":22,"verb":"stats","format":"prometheus"}"#);
+    for family in [
+        "iced_svc_mapping_memo_hits_total 3",
+        "iced_svc_mapping_memo_misses_total 2",
+        "iced_svc_partition_memo_hits_total 2",
+        "iced_svc_partition_memo_misses_total 1",
+    ] {
+        assert!(prom.contains(family), "missing {family}: {prom}");
+    }
+
+    server.shutdown();
+    server.wait();
+}

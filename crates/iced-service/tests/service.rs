@@ -384,3 +384,160 @@ fn exact_strategy_is_certified_cache_keyed_and_byte_stable() {
     server.shutdown();
     server.wait();
 }
+
+/// One counter out of a `metrics` response.
+fn metric(c: &mut Client, field: &str) -> u64 {
+    let resp = c.round_trip(r#"{"id":0,"verb":"metrics"}"#);
+    let v = iced_service::json::parse(&resp).expect("metrics is JSON");
+    v.get("result")
+        .and_then(|r| r.get(field))
+        .and_then(|f| f.as_u64())
+        .unwrap_or_else(|| panic!("no {field} in {resp}"))
+}
+
+/// The four compile strategies plus a `simulate` of one kernel: the
+/// request set whose base mappings the daemon shares.
+fn strategy_specs(kernel: &str, unroll: u32) -> Vec<String> {
+    let src = format!("\"kernel\":\"{kernel}\",\"unroll\":{unroll}");
+    let mut specs: Vec<String> = ["baseline", "baseline+pg", "per-tile", "iced"]
+        .iter()
+        .map(|s| format!("\"verb\":\"compile\",{src},\"strategy\":\"{s}\""))
+        .collect();
+    specs.push(format!(
+        "\"verb\":\"simulate\",{src},\"iterations\":200,\"seed\":7"
+    ));
+    specs
+}
+
+/// Every rotation of the strategy set goes to its own daemon. A
+/// rotation's first request reaches a fresh daemon, so across the five
+/// rotations every request gets a fresh-daemon answer; each later answer
+/// must match it byte for byte, whichever request warmed the memo. Batch
+/// slots must match too, and each daemon maps exactly twice.
+#[test]
+fn memoized_base_mappings_answer_exactly_like_fresh_daemons() {
+    let kernels = [("fir", 1), ("fir", 2), ("fft", 1), ("fft", 2)];
+    let handles: Vec<_> = kernels
+        .into_iter()
+        .map(|(kernel, unroll)| {
+            std::thread::spawn(move || {
+                let specs = strategy_specs(kernel, unroll);
+                let n = specs.len();
+                // answers[r][k]: rotation r's answer to spec (r + k) % n.
+                let answers: Vec<Vec<String>> = (0..n)
+                    .map(|r| {
+                        let (server, addr) = start(1, 16);
+                        let mut c = Client::connect(addr);
+                        let got = (0..n)
+                            .map(|k| {
+                                let spec = &specs[(r + k) % n];
+                                let resp = c.round_trip(&format!("{{\"id\":{k},{spec}}}"));
+                                assert!(resp.contains("\"cached\":false"), "{resp}");
+                                result_payload(&resp).to_string()
+                            })
+                            .collect();
+                        assert_eq!(metric(&mut c, "mapping_memo_misses"), 2, "{kernel}");
+                        assert_eq!(metric(&mut c, "mapping_memo_hits"), 3, "{kernel}");
+                        server.shutdown();
+                        server.wait();
+                        got
+                    })
+                    .collect();
+                let fresh: Vec<&String> = (0..n).map(|i| &answers[i][0]).collect();
+                for (r, rotation) in answers.iter().enumerate() {
+                    for (k, got) in rotation.iter().enumerate() {
+                        let i = (r + k) % n;
+                        assert_eq!(got, fresh[i], "{kernel} x{unroll}: {}", specs[i]);
+                    }
+                }
+
+                let (server, addr) = start(1, 16);
+                let mut c = Client::connect(addr);
+                let items: Vec<String> = specs.iter().map(|s| format!("{{{s}}}")).collect();
+                let resp = c.round_trip(&format!(
+                    "{{\"id\":1,\"verb\":\"batch\",\"items\":[{}]}}",
+                    items.join(",")
+                ));
+                assert!(resp.contains(&format!("\"unique\":{n}")), "{resp}");
+                // Every slot's payload, in slot order.
+                let mut at = 0;
+                for want in &fresh {
+                    let needle = format!("\"result\":{want}}}");
+                    let found = resp[at..]
+                        .find(&needle)
+                        .unwrap_or_else(|| panic!("{kernel} batch lacks {want}: {resp}"));
+                    at += found + needle.len();
+                }
+                assert_eq!(metric(&mut c, "mapping_memo_misses"), 2, "{kernel}");
+                assert_eq!(metric(&mut c, "mapping_memo_hits"), 3, "{kernel}");
+                server.shutdown();
+                server.wait();
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("kernel thread");
+    }
+}
+
+/// A deadline failure is never memoized: the same compile without a
+/// deadline still runs the mapper and answers like a fresh daemon.
+#[test]
+fn a_deadline_failure_is_not_memoized() {
+    let fresh = {
+        let (server, addr) = start(1, 8);
+        let resp = Client::connect(addr)
+            .round_trip(r#"{"id":1,"verb":"compile","kernel":"fir","strategy":"baseline"}"#);
+        server.shutdown();
+        server.wait();
+        resp
+    };
+    let (server, addr) = start(1, 8);
+    let mut c = Client::connect(addr);
+    let dead = c.round_trip(
+        r#"{"id":1,"verb":"compile","kernel":"fir","strategy":"baseline","deadline_ms":0}"#,
+    );
+    assert!(dead.contains("\"deadline_exceeded\""), "{dead}");
+    let mapped = c.round_trip(r#"{"id":2,"verb":"compile","kernel":"fir","strategy":"baseline"}"#);
+    assert!(mapped.contains("\"cached\":false"), "{mapped}");
+    assert_eq!(result_payload(&mapped), result_payload(&fresh));
+    assert_eq!(metric(&mut c, "mapping_memo_misses"), 2);
+    assert_eq!(metric(&mut c, "mapping_memo_hits"), 0);
+    server.shutdown();
+    server.wait();
+}
+
+/// An exact answer whose deadline cut the search short is served, but
+/// neither cache level keeps it, so no later request can replay it. fft's
+/// full exact search runs for minutes, so an `ok` answer within a
+/// deadline of at most a minute is always a truncated one.
+#[test]
+fn a_deadline_truncated_exact_answer_is_never_cached() {
+    let (server, addr) = start(1, 8);
+    let mut c = Client::connect(addr);
+    let mut deadline_ms = 25;
+    let line = |ms: u64| {
+        format!(
+            r#"{{"id":1,"verb":"compile","kernel":"fft","strategy":"exact","deadline_ms":{ms}}}"#
+        )
+    };
+    let truncated = loop {
+        let resp = c.round_trip(&line(deadline_ms));
+        if resp.contains("\"ok\":true") {
+            break resp;
+        }
+        assert!(resp.contains("\"deadline_exceeded\""), "{resp}");
+        assert!(deadline_ms < 60_000, "no answer within a minute: {resp}");
+        deadline_ms *= 2;
+    };
+    assert!(
+        truncated.contains("\"proof\":\"best_under_budget\""),
+        "{truncated}"
+    );
+    assert_eq!(metric(&mut c, "cache_entries"), 0, "{truncated}");
+    let again = c.round_trip(&line(deadline_ms));
+    assert!(again.contains("\"cached\":false"), "{again}");
+    assert_eq!(metric(&mut c, "mapping_memo_hits"), 0);
+    server.shutdown();
+    server.wait();
+}
