@@ -48,12 +48,14 @@
 //! cumulative over all IIs of one certification) and a wall-clock
 //! deadline. Exhausting either degrades the result, never corrupts it:
 //! with a heuristic fallback mapping in hand the certificate becomes
-//! `proof: BestUnderBudget` (the mapping is the heuristic's, minimality
+//! `proof: BestUnderBudget` for the node budget or `proof: DeadlineCut`
+//! for the deadline (the mapping is the heuristic's, minimality
 //! unproven); without one, [`MapError::BudgetExhausted`] /
 //! [`MapError::DeadlineExceeded`] is returned. Budgets only truncate the
 //! search — they never change which mapping a completed search finds, so
 //! certified results are thread-count-, seed-, and budget-invariant
-//! whenever the proof says `Optimal`.
+//! whenever the proof says `Optimal`. A node-budget answer repeats
+//! exactly; a deadline-cut one depends on the clock and does not.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -131,9 +133,14 @@ pub enum Proof {
     /// Every II below the result was exhaustively refuted: the mapping's
     /// II is the minimum over the declared decision space.
     Optimal,
-    /// The node budget or deadline ran out mid-refutation; the mapping is
-    /// the best one known (the heuristic's), minimality unproven.
+    /// The node budget ran out mid-refutation; the mapping is the best
+    /// one known (the heuristic's), minimality unproven. Repeatable: the
+    /// same inputs give the same answer.
     BestUnderBudget,
+    /// The deadline cut the refutation or a heuristic arm short; the
+    /// mapping is valid but may differ from what an uncut run returns, so
+    /// it must not be cached or replicated as *the* answer.
+    DeadlineCut,
 }
 
 impl Proof {
@@ -142,6 +149,7 @@ impl Proof {
         match self {
             Proof::Optimal => "optimal",
             Proof::BestUnderBudget => "best_under_budget",
+            Proof::DeadlineCut => "deadline_cut",
         }
     }
 }
@@ -347,6 +355,7 @@ fn certify_inner(
     companion.threads = heur.threads;
     companion.deadline = heur.deadline;
     let mut upper: Option<Mapping> = None;
+    let mut arm_cut = false;
     for arm in [heur, &companion] {
         let res = match plan {
             Some(p) => map_with_faults(dfg, cfg, arm, p).map(|d| d.mapping),
@@ -358,7 +367,8 @@ fn certify_inner(
                     upper = Some(m);
                 }
             }
-            Err(MapError::IiExceeded { .. }) | Err(MapError::DeadlineExceeded) => {}
+            Err(MapError::IiExceeded { .. }) => {}
+            Err(MapError::DeadlineExceeded) => arm_cut = true,
             Err(e) => return Err(e),
         }
     }
@@ -373,6 +383,9 @@ fn certify_inner(
         deadline: opts.deadline,
         backjump: opts.backjump,
     };
+    // A cut arm may have withheld the upper bound (or the tie-winning
+    // mapping) an uncut run would use, so any answer is clock-dependent.
+    let unless_arm_cut = |proof: Proof| if arm_cut { Proof::DeadlineCut } else { proof };
     let mut explored = 0u64;
     for ii in lb..=search_max {
         let verdict = Search::new(dfg, cfg, ii, &limits, mask)?.run(&mut explored);
@@ -384,7 +397,7 @@ fn certify_inner(
                         ii,
                         lower_bound: lb,
                         nodes_explored: explored,
-                        proof: Proof::Optimal,
+                        proof: unless_arm_cut(Proof::Optimal),
                     },
                 });
             }
@@ -399,7 +412,10 @@ fn certify_inner(
                                 ii,
                                 lower_bound: lb,
                                 nodes_explored: explored,
-                                proof: Proof::BestUnderBudget,
+                                proof: match verdict {
+                                    Verdict::Budget => unless_arm_cut(Proof::BestUnderBudget),
+                                    _ => Proof::DeadlineCut,
+                                },
                             },
                         })
                     }
@@ -424,7 +440,7 @@ fn certify_inner(
                     ii,
                     lower_bound: lb,
                     nodes_explored: explored,
-                    proof: Proof::Optimal,
+                    proof: unless_arm_cut(Proof::Optimal),
                 },
             })
         }
@@ -587,26 +603,45 @@ mod tests {
     #[test]
     fn zero_budget_with_heuristic_fallback_is_best_under_budget() {
         let cfg = CgraConfig::iced_prototype();
-        // High fan-in forces lb < heuristic II so a refutation search is
-        // actually needed — which the zero budget immediately truncates.
-        let mut b = DfgBuilder::new("fan");
-        let srcs: Vec<_> = (0..6)
-            .map(|i| b.node(Opcode::Add, format!("s{i}")))
-            .collect();
-        let sink = b.node(Opcode::Add, "sink");
-        for s in &srcs {
-            b.data(*s, sink).unwrap();
-        }
-        let dfg = b.finish().unwrap();
+        // fft's heuristic II sits above its lower bound, so a refutation
+        // search is needed — which the zero budget immediately truncates.
+        let dfg = iced_kernels::Kernel::Fft.dfg(iced_kernels::UnrollFactor::X1);
         let opts = ExactOptions {
             node_budget: 0,
             ..ExactOptions::default()
         };
         let c = certify(&dfg, &cfg, &MapperOptions::baseline(), &opts).unwrap();
-        if c.certificate.lower_bound < c.certificate.ii {
-            assert_eq!(c.certificate.proof, Proof::BestUnderBudget);
-            assert_eq!(c.certificate.nodes_explored, 0);
-        }
+        assert!(c.certificate.lower_bound < c.certificate.ii);
+        assert_eq!(c.certificate.proof, Proof::BestUnderBudget);
+        assert_eq!(c.certificate.nodes_explored, 0);
+    }
+
+    #[test]
+    fn deadline_truncation_reads_deadline_cut() {
+        let cfg = CgraConfig::iced_prototype();
+        // fft needs a refutation search (see the zero-budget test).
+        let dfg = iced_kernels::Kernel::Fft.dfg(iced_kernels::UnrollFactor::X1);
+        let expired = Some(std::time::Instant::now());
+        // The search's deadline cuts the refutation; the heuristic arms,
+        // with no deadline, supply the fallback.
+        let search_cut = ExactOptions {
+            deadline: expired,
+            ..ExactOptions::default()
+        };
+        let c = certify(&dfg, &cfg, &MapperOptions::baseline(), &search_cut).unwrap();
+        assert!(c.certificate.lower_bound < c.certificate.ii);
+        assert_eq!(c.certificate.proof, Proof::DeadlineCut);
+        assert_eq!(c.certificate.proof.name(), "deadline_cut");
+        // The arms' deadline cuts them; the uncut search still answers
+        // (on a kernel small enough to search from scratch), but not
+        // necessarily as an uncut run would.
+        let arms_cut = MapperOptions {
+            deadline: expired,
+            ..MapperOptions::baseline()
+        };
+        let c = certify(&chain(5), &cfg, &arms_cut, &ExactOptions::default()).unwrap();
+        assert_eq!(c.certificate.proof, Proof::DeadlineCut);
+        assert!(iced_mapper::check_dependencies(&chain(5), &c.mapping));
     }
 
     #[test]

@@ -28,7 +28,7 @@ use iced_trace::Phase;
 use crate::error::MapError;
 use crate::labeling::label_dvfs_levels;
 use crate::mapping::{Mapping, Placement, Route};
-use crate::router::{route, RouterScratch, Txn};
+use crate::router::{arrival_lb, route, RouterScratch, Txn};
 
 /// Options controlling the mapping engine.
 #[derive(Debug, Clone)]
@@ -791,14 +791,17 @@ impl<'a> Engine<'a> {
             label = label.raised();
             iced_trace::counter(Phase::Mapper, "label_escalations", 1);
         }
-        if std::env::var_os("ICED_MAPPER_DEBUG").is_some() {
-            eprintln!(
-                "mapper: II={} no candidate for {} ({}, label {:?}, asap {})",
-                self.ii,
-                node,
-                self.dfg.node(node).label(),
-                self.labels[node.index()],
-                self.asap[node.index()],
+        if iced_trace::enabled() {
+            iced_trace::instant(
+                Phase::Mapper,
+                "no_candidate",
+                &[
+                    ("ii", u64::from(self.ii).into()),
+                    ("node", (node.index() as u64).into()),
+                    ("op", self.dfg.node(node).label().into()),
+                    ("label", format!("{:?}", self.labels[node.index()]).into()),
+                    ("asap", self.asap[node.index()].into()),
+                ],
             );
         }
         false
@@ -832,16 +835,18 @@ impl<'a> Engine<'a> {
             }
             if self.commit(node, label, tile) {
                 iced_trace::counter(Phase::Mapper, "nodes_placed", 1);
-                if std::env::var_os("ICED_MAPPER_DEBUG").is_some_and(|v| v == "2") {
+                if iced_trace::detail_enabled() {
                     let p = self.placements[node.index()].expect("just placed");
-                    eprintln!(
-                        "mapper:   II={} placed {} ({}) on {} start={} rate={}",
-                        self.ii,
-                        node,
-                        self.dfg.node(node).label(),
-                        p.tile,
-                        p.start,
-                        p.rate
+                    iced_trace::instant(
+                        Phase::Mapper,
+                        "node_placed",
+                        &[
+                            ("ii", u64::from(self.ii).into()),
+                            ("node", (node.index() as u64).into()),
+                            ("tile", (p.tile.index() as u64).into()),
+                            ("start", p.start.into()),
+                            ("rate", u64::from(p.rate).into()),
+                        ],
                     );
                 }
                 return true;
@@ -946,16 +951,10 @@ impl<'a> Engine<'a> {
         let link_budget: u64 =
             self.cfg.neighbors(tile).count() as u64 * (self.ii as u64 / rate as u64);
         if egress > link_budget {
-            self.debug_abort(
-                node,
-                tile,
-                "egress over link budget",
-                iced_dfg::EdgeId::from_index(0),
-            );
+            self.trace_abort(node, tile, "egress over link budget");
             return self.abort(txn, opened);
         }
 
-        // Route placed-predecessor edges (both data and loop-carried).
         // Cycle nodes get one extra period of slack beyond their ASAP:
         // shifting a recurrence cycle later in absolute time only deepens
         // the prologue (steady state is unchanged), and the headroom lets
@@ -966,8 +965,16 @@ impl<'a> Engine<'a> {
         } else {
             0
         };
+        let earliest = self.asap[node.index()] + slack;
+        if let Some(why) = self.doomed(node, tile, rate, earliest) {
+            iced_trace::counter(Phase::Mapper, "commits_pruned", 1);
+            self.trace_abort(node, tile, why);
+            return self.abort(txn, opened);
+        }
+
+        // Route placed-predecessor edges (both data and loop-carried).
         let mut in_routes: Vec<(usize, crate::router::FoundRoute, u32)> = Vec::new();
-        let mut min_start: i64 = (self.asap[node.index()] + slack) as i64;
+        let mut min_start = earliest as i64;
         for e in self.dfg.in_edges(node) {
             let Some(p) = self.placements[e.src().index()] else {
                 continue; // carried edge from a not-yet-placed node
@@ -988,7 +995,7 @@ impl<'a> Engine<'a> {
                 &mut txn,
                 self.scratch,
             ) else {
-                self.debug_abort(node, tile, "in-route failed", e.id());
+                self.trace_abort(node, tile, "in-route failed");
                 return self.abort(txn, opened);
             };
             self.pin_route_islands(&found, &mut opened);
@@ -1020,7 +1027,7 @@ impl<'a> Engine<'a> {
             }
         }
         let Some(start) = chosen_start else {
-            self.debug_abort(node, tile, "no FU slot", iced_dfg::EdgeId::from_index(0));
+            self.trace_abort(node, tile, "no FU slot");
             return self.abort(txn, opened);
         };
         txn.occupy_fu(self.mrrg, tile, start, rate);
@@ -1071,7 +1078,7 @@ impl<'a> Engine<'a> {
                 &mut txn,
                 self.scratch,
             ) else {
-                self.debug_abort(node, tile, "out-route failed", e.id());
+                self.trace_abort(node, tile, "out-route failed");
                 return self.abort(txn, opened);
             };
             self.pin_route_islands(&found, &mut opened);
@@ -1095,14 +1102,63 @@ impl<'a> Engine<'a> {
         true
     }
 
-    fn debug_abort(&self, node: NodeId, tile: TileId, why: &str, edge: iced_dfg::EdgeId) {
-        if std::env::var_os("ICED_MAPPER_DEBUG").is_none_or(|v| v != "2") {
-            return;
+    /// Why committing `node` on `tile` at rate divisor `rate` must fail,
+    /// decided before any routing from FU occupancy and Manhattan lower
+    /// bounds alone; `earliest` is the node's ASAP start plus its slack.
+    ///
+    /// * **No FU phase.** The slot search below tries at least `II/rate`
+    ///   consecutive rate-aligned starts, i.e. every phase, and routing
+    ///   reserves links and registers but never an FU. A tile with no free
+    ///   phase now has none when the slot search runs.
+    /// * **Deadline.** A route from `a` to `b` arrives no earlier than
+    ///   [`arrival_lb`], `ready + max(manhattan(a, b) − 1, 0)`: the same
+    ///   bound the router's root prune applies. So the op cannot start
+    ///   before `start_lb` (its in-routes' bounds, aligned to the rate),
+    ///   its value is not ready before `start_lb + rate`, and an out-route
+    ///   to a placed consumer whose read deadline is below that bound plus
+    ///   the distance cannot succeed.
+    ///
+    /// Either way the unpruned commit aborts later, after routing, through
+    /// the same [`Engine::abort`] rollback, so pruning here never changes
+    /// the mapping — it only skips the doomed in-route searches.
+    fn doomed(&self, node: NodeId, tile: TileId, rate: u32, earliest: u64) -> Option<&'static str> {
+        let ii = self.ii as u64;
+        let r = rate as u64;
+        if ii.is_multiple_of(r) && !(0..ii / r).any(|k| self.mrrg.fu_free(tile, k * r, rate)) {
+            return Some("no FU phase");
         }
-        eprintln!(
-            "mapper:   II={} {} on {} aborted: {} (edge {})",
-            self.ii, node, tile, why, edge
-        );
+        let mut start_lb = earliest as i64;
+        for e in self.dfg.in_edges(node) {
+            if let Some(p) = self.placements[e.src().index()] {
+                let arrival = arrival_lb(self.cfg, p.tile, p.ready(), tile) as i64;
+                start_lb = start_lb.max(arrival - (e.kind().distance() as u64 * ii) as i64);
+            }
+        }
+        let ready_lb = (start_lb.max(0) as u64).div_ceil(r) * r + r;
+        let late = self.dfg.out_edges(node).any(|e| {
+            self.placements[e.dst().index()].is_some_and(|p| {
+                arrival_lb(self.cfg, tile, ready_lb, p.tile)
+                    > p.start + e.kind().distance() as u64 * ii
+            })
+        });
+        late.then_some("consumer deadline out of reach")
+    }
+
+    /// Records a commit abort as a detail trace event (one per attempt, so
+    /// only with detail tracing on).
+    fn trace_abort(&self, node: NodeId, tile: TileId, why: &'static str) {
+        if iced_trace::detail_enabled() {
+            iced_trace::instant(
+                Phase::Mapper,
+                "commit_aborted",
+                &[
+                    ("ii", u64::from(self.ii).into()),
+                    ("node", (node.index() as u64).into()),
+                    ("tile", (tile.index() as u64).into()),
+                    ("reason", why.into()),
+                ],
+            );
+        }
     }
 
     fn assign_island(&mut self, island: IslandId, level: DvfsLevel, opened: &mut Vec<IslandId>) {

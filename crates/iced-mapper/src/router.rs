@@ -11,10 +11,10 @@
 //!
 //! # Fast path
 //!
-//! The search state space is `tiles × [ready, horizon]` — small, dense, and
-//! integer-keyed — so the classic heap-and-hash-set Dijkstra is replaced by
-//! cache-friendly flat structures (the mapper spends most of its wall time
-//! here):
+//! The search state space is `tiles × [ready, limit]` (`limit` is the
+//! arrival bound, see below) — small, dense, and integer-keyed — so the
+//! classic heap-and-hash-set Dijkstra is replaced by cache-friendly flat
+//! structures (the mapper spends most of its wall time here):
 //!
 //! * the **visited set** is a flat bitvec indexed
 //!   `tile · span + (time − ready)` instead of a `HashSet<(TileId, u64)>`;
@@ -27,6 +27,29 @@
 //!   bit-identical to the heap version;
 //! * arena, bitvec, and buckets live in a caller-owned [`RouterScratch`]
 //!   reused across the thousands of `route` calls of one mapping attempt.
+//!
+//! # Admissible pruning
+//!
+//! Every hop moves one mesh step, and every hop after the overlapped first
+//! one costs at least one base cycle. A state `(tile, time)` reached by a
+//! hop can therefore arrive at `dst` no earlier than
+//! `time + manhattan(tile, dst)`, and the root no earlier than
+//! `ready + manhattan(src, dst) − 1`. Arrivals are bounded by
+//! `limit = min(deadline, horizon)` (a hop must complete inside the
+//! horizon), so the search never queues a state whose bound exceeds
+//! `limit`, and gives up before queueing anything when the root's bound
+//! does. A failed route then expands only the states that could still
+//! succeed instead of flooding every reachable state up to the limit.
+//!
+//! The prune is bit-identical to the unpruned search. The bound is
+//! consistent (it falls by at most one per hop while time rises by at least
+//! one), so every descendant of a pruned state is pruned too, and no state
+//! on any route the search could return is ever pruned. A pruned state's
+//! only other effect would be its visited bit, which only ever blocks
+//! states of the same `(tile, time)` — pruned ones. Surviving states keep
+//! their keys and their relative arena order, so the `(primary, secondary,
+//! idx)` pop order among them, and with it the returned route, is
+//! unchanged.
 
 use iced_arch::{CgraConfig, Dir, Mrrg, TileId};
 use iced_trace::Phase;
@@ -236,6 +259,15 @@ pub fn route(
     found
 }
 
+/// The earliest a value ready at `src` at `ready` can arrive at `dst`:
+/// `ready + max(manhattan(src, dst) − 1, 0)`. The first hop overlaps the
+/// producing op and every later hop costs at least one cycle, so no route
+/// arrives earlier. The router's root prune and the placer's commit
+/// precheck both use this one bound, which keeps them consistent.
+pub(crate) fn arrival_lb(cfg: &CgraConfig, src: TileId, ready: u64, dst: TileId) -> u64 {
+    ready + cfg.manhattan(src, dst).saturating_sub(1) as u64
+}
+
 #[allow(clippy::too_many_arguments)]
 fn search(
     cfg: &CgraConfig,
@@ -260,10 +292,15 @@ fn search(
             hops: Vec::new(),
         });
     }
-    if ready > horizon {
-        // No hop can complete inside the window (and src != dst).
+    let limit = deadline.map_or(horizon, |d| d.min(horizon));
+    let to_go = |tile: TileId| cfg.manhattan(tile, dst) as u64;
+    // The root's first hop may overlap the producing op, so its bound is
+    // one cycle below that of a queued state (module doc, "Admissible
+    // pruning").
+    if arrival_lb(cfg, src, ready, dst) > limit {
         return None;
     }
+    let doomed = |tile: TileId, time: u64| time + to_go(tile) > limit;
     let hop_aux = |from: TileId| -> u64 {
         let mut a = 1;
         if virgin[from.index()] {
@@ -285,7 +322,7 @@ fn search(
             ((time - ready) as usize, aux)
         }
     };
-    let span = (horizon - ready + 1) as usize;
+    let span = (limit - ready + 1) as usize;
     let vis = |tile: TileId, time: u64| -> usize { tile.index() * span + (time - ready) as usize };
     let RouterScratch {
         arena,
@@ -316,8 +353,7 @@ fn search(
     if ready >= r_src {
         let window = ready - r_src;
         for (dir, nbr) in cfg.neighbors(src) {
-            if mrrg.link_free(src, dir, window, r_src as u32) && deadline.is_none_or(|d| ready <= d)
-            {
+            if !doomed(nbr, ready) && mrrg.link_free(src, dir, window, r_src as u32) {
                 let aux = hop_aux(src);
                 arena.push(SearchNode {
                     tile: nbr,
@@ -340,9 +376,7 @@ fn search(
             continue;
         }
         if node.tile == dst {
-            if deadline.is_some_and(|d| time > d) {
-                return None; // earliest arrival already misses the deadline
-            }
+            debug_assert!(time <= limit, "pruning keeps every queued state on time");
             return Some(commit(cfg, mrrg, src, arena, idx, txn));
         }
         let r = rates[node.tile.index()] as u64;
@@ -351,18 +385,17 @@ fn search(
             // link, holding the value in registers while waiting. The
             // producer's own tile holds its result in the FU output latch,
             // so waiting there is free and shared across fan-out edges.
+            // Departures late enough to doom the arrival are never tried
+            // (a later departure only arrives later).
             let mut w = time.div_ceil(r) * r;
-            while w + r <= horizon {
+            while !doomed(nbr, w + r) {
                 if node.tile != src && !mrrg.reg_available(node.tile, time, w.saturating_sub(time))
                 {
                     break; // cannot hold the value this long here
                 }
                 if mrrg.link_free(node.tile, dir, w, r as u32) {
                     let arrive = w + r;
-                    // States past the deadline can never lead to an on-time
-                    // arrival (time only grows).
-                    let on_time = deadline.is_none_or(|d| arrive <= d);
-                    if on_time && !bit_test(visited, vis(nbr, arrive)) {
+                    if !bit_test(visited, vis(nbr, arrive)) {
                         let aux = node.aux + hop_aux(node.tile);
                         arena.push(SearchNode {
                             tile: nbr,
@@ -541,6 +574,129 @@ mod tests {
             &mut scratch,
         )
         .is_none());
+    }
+
+    #[test]
+    fn hopeless_deadline_fails_without_flooding() {
+        let (cfg, mut mrrg, rates, virgin) = setup(6);
+        let mut txn = Txn::default();
+        let mut scratch = RouterScratch::default();
+        let src = cfg.tile_at(0, 0);
+        let dst = cfg.tile_at(5, 5);
+        // Manhattan distance 10: the earliest arrival is ready + 9 = 13,
+        // one past the deadline, so nothing is worth expanding.
+        let mut expansions = 0;
+        let found = search(
+            &cfg,
+            &mut mrrg,
+            &rates,
+            &virgin,
+            src,
+            4,
+            dst,
+            Some(12),
+            64,
+            &mut txn,
+            &mut scratch,
+            &mut expansions,
+        );
+        assert!(found.is_none());
+        assert!(expansions <= 1, "{expansions} expansions");
+        // One cycle later the same route exists and is found.
+        let found = search(
+            &cfg,
+            &mut mrrg,
+            &rates,
+            &virgin,
+            src,
+            4,
+            dst,
+            Some(13),
+            64,
+            &mut txn,
+            &mut scratch,
+            &mut expansions,
+        )
+        .expect("deadline at the Manhattan bound is reachable");
+        assert_eq!(found.arrival, 13);
+    }
+
+    #[test]
+    fn random_deadline_routes_respect_bounds_and_repeat() {
+        // splitmix64: a fixed, dependency-free stream.
+        let mut state = 0x1CED_u64;
+        let mut next = |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        let cfg = CgraConfig::square(5).unwrap();
+        // One scratch serves every case, as in a mapping attempt; each
+        // answer is checked against a fresh scratch's.
+        let mut shared = RouterScratch::default();
+        let mut found_any = 0;
+        for _ in 0..300 {
+            let ii = 2 + next(6) as u32;
+            let mut mrrg = Mrrg::new(&cfg, ii).unwrap();
+            let rates: Vec<u32> = (0..cfg.tile_count())
+                .map(|_| [1, 1, 2][next(3) as usize])
+                .collect();
+            let virgin: Vec<bool> = (0..cfg.tile_count()).map(|_| next(4) == 0).collect();
+            for t in cfg.tiles() {
+                for (dir, _) in cfg.neighbors(t) {
+                    for c in 0..u64::from(ii) {
+                        if next(3) == 0 && mrrg.link_free(t, dir, c, 1) {
+                            mrrg.occupy_link(t, dir, c, 1);
+                        }
+                    }
+                }
+                if next(2) == 0 {
+                    mrrg.occupy_reg(t, next(u64::from(ii)), 1 + next(3));
+                }
+            }
+            let src = TileId(next(cfg.tile_count() as u64) as u16);
+            let dst = TileId(next(cfg.tile_count() as u64) as u16);
+            let ready = 2 + next(8);
+            let deadline = ready + next(12);
+            let attempt = |scratch: &mut RouterScratch, mrrg: &mut Mrrg| {
+                let mut txn = Txn::default();
+                let found = route(
+                    &cfg,
+                    mrrg,
+                    &rates,
+                    &virgin,
+                    src,
+                    ready,
+                    dst,
+                    Some(deadline),
+                    deadline,
+                    &mut txn,
+                    scratch,
+                );
+                txn.rollback(mrrg);
+                found
+            };
+            let first = attempt(&mut shared, &mut mrrg);
+            let again = attempt(&mut RouterScratch::default(), &mut mrrg);
+            match (&first, &again) {
+                (Some(a), Some(b)) => {
+                    let lb = ready + (cfg.manhattan(src, dst) as u64).saturating_sub(1);
+                    assert!(
+                        lb <= a.arrival && a.arrival <= deadline,
+                        "arrival {} outside [{lb}, {deadline}]",
+                        a.arrival
+                    );
+                    assert_eq!(a.arrival, b.arrival);
+                    assert_eq!(a.hops, b.hops);
+                    found_any += 1;
+                }
+                (None, None) => {}
+                _ => panic!("same route call disagreed across scratches"),
+            }
+        }
+        assert!(found_any > 50, "only {found_any} routes found");
     }
 
     #[test]

@@ -59,7 +59,7 @@ use std::time::{Duration, Instant};
 
 use iced::arch::CgraConfig;
 use iced::dfg::Dfg;
-use iced::exact::CertifiedII;
+use iced::exact::{CertifiedII, Proof};
 use iced::kernels::pipelines::Pipeline;
 use iced::kernels::workloads;
 use iced::mapper::{
@@ -917,11 +917,9 @@ fn base_mapping(
         }
     };
     // The heuristic mapper is complete-or-absent under a deadline (§10 of
-    // DESIGN.md); the exact search instead returns its best so far. Its
-    // deadline checks all ran before it returned, so if the deadline is
-    // still ahead now, none of them fired.
-    let settled =
-        spec.backend == Backend::Heuristic || opts.deadline.is_none_or(|d| Instant::now() < d);
+    // DESIGN.md); the exact search instead returns its best so far, and
+    // its certificate says when the deadline cut it short.
+    let settled = base.cert.is_none_or(|c| c.proof != Proof::DeadlineCut);
     if settled {
         shared.mappings.put(key, base.clone());
     }
